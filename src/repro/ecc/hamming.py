@@ -28,6 +28,11 @@ from repro.util.validation import require_positive
 
 __all__ = ["DecodeStatus", "DecodeResult", "HammingSecded"]
 
+#: Parity (0 or 1) of every byte value.
+_BYTE_PARITY = (
+    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1) & 1
+).astype(np.uint8)
+
 
 class DecodeStatus(Enum):
     """Outcome of decoding one codeword."""
@@ -93,49 +98,72 @@ class HammingSecded:
         )
 
     @cached_property
-    def _coverage(self) -> np.ndarray:
-        """``(hamming_parity_bits, hamming_codeword)`` coverage matrix.
+    def _check_masks(self) -> np.ndarray:
+        """``(parity_bits, data_bytes, 1)`` little-endian data-bit masks.
 
-        Row ``i`` marks the 1-indexed positions whose index has bit
-        ``i`` set — the positions parity bit ``2**i`` checks.
+        Row ``i < hamming_parity_bits`` marks the data bits whose
+        codeword position has bit ``i`` set — the data parity ``2**i``
+        checks (no other parity position has bit ``i`` set).  The last
+        row marks every data bit, for the overall parity.
         """
-        length = self.data_bits + self.hamming_parity_bits
-        positions = np.arange(1, length + 1, dtype=np.int64)
-        rows = [
-            ((positions >> i) & 1).astype(np.uint8)
-            for i in range(self.hamming_parity_bits)
-        ]
-        return np.stack(rows)
+        shifts = np.arange(self.hamming_parity_bits, dtype=np.int64)[:, None]
+        covered = (self._data_positions[None, :] >> shifts) & 1
+        rows = np.vstack([covered, np.ones((1, self.data_bits), dtype=np.int64)])
+        masks = np.packbits(rows.astype(np.uint8), axis=1, bitorder="little")
+        return masks[:, :, None]
 
     # ------------------------------------------------------------------
     # Encode / decode
     # ------------------------------------------------------------------
 
-    def encode(self, data: np.ndarray) -> np.ndarray:
-        """Encode ``(words, data_bits)`` (or a single word) to codewords.
-
-        Codeword layout: the Hamming codeword in position order
-        (1-indexed positions 1..n map to columns 0..n-1), followed by
-        the overall parity bit in the last column.
-        """
+    def _words(self, data: np.ndarray) -> np.ndarray:
         data = np.atleast_2d(np.asarray(data, dtype=np.uint8))
         if data.shape[1] != self.data_bits:
             raise ValueError(
                 f"expected {self.data_bits} data bits per word, got {data.shape[1]}"
             )
-        words = data.shape[0]
-        length = self.data_bits + self.hamming_parity_bits
-        codeword = np.zeros((words, length), dtype=np.uint8)
-        codeword[:, self._data_positions - 1] = data
-        # Parity bit 2**i makes the XOR of its covered positions zero.
-        for i, pos in enumerate(self._parity_positions):
-            covered = codeword & self._coverage[i]
-            parity = covered.sum(axis=1) & 1
-            codeword[:, pos - 1] = parity
-            # The parity position itself is covered; setting it fixes the
-            # XOR because it was zero before.
-        overall = codeword.sum(axis=1) & 1
-        return np.concatenate([codeword, overall[:, None]], axis=1)
+        return data
+
+    def check_bits(self, data: np.ndarray) -> np.ndarray:
+        """``(words, parity_bits)`` uint8 check bits of ``(words, data_bits)``.
+
+        Columns are the Hamming parities (position ``2**i`` in column
+        ``i``) followed by the overall parity of the extended codeword.
+        Each word is packed to little-endian bytes once; parity ``i`` is
+        the XOR-fold of the word's bytes under mask ``i``, reduced to
+        one bit by a 256-entry byte-parity table.
+        """
+        data = self._words(data)
+        packed = np.packbits(data, axis=1, bitorder="little")
+        # Fold over the bytes of a (parity, byte, word) layout so the
+        # XOR reduction runs over contiguous rows of words.
+        folded = np.bitwise_xor.reduce(
+            self._check_masks & np.ascontiguousarray(packed.T)[None], axis=1
+        )
+        check = _BYTE_PARITY[folded]
+        # The overall parity covers the Hamming parities too.
+        check[-1] ^= np.bitwise_xor.reduce(check[:-1], axis=0)
+        return np.ascontiguousarray(check.T)
+
+    def assemble(self, data: np.ndarray, check: np.ndarray) -> np.ndarray:
+        """Position-ordered codewords from data bits and their check bits.
+
+        Codeword layout: the Hamming codeword in position order
+        (1-indexed positions 1..n map to columns 0..n-1), followed by
+        the overall parity bit in the last column.
+        """
+        data = self._words(data)
+        codewords = np.zeros((data.shape[0], self.codeword_bits), dtype=np.uint8)
+        codewords[:, self._data_positions - 1] = data
+        codewords[:, self._parity_positions - 1] = check[:, :-1]
+        codewords[:, -1] = check[:, -1]
+        return codewords
+
+    def encode(self, data: np.ndarray) -> np.ndarray:
+        """Encode ``(words, data_bits)`` (or a single word) to uint8
+        codewords in the :meth:`assemble` layout."""
+        data = self._words(data)
+        return self.assemble(data, self.check_bits(data))
 
     def decode(self, codewords: np.ndarray) -> DecodeResult:
         """Decode ``(words, codeword_bits)`` (or one codeword)."""
@@ -146,13 +174,16 @@ class HammingSecded:
                 f"got {codewords.shape[1]}"
             )
         hamming = codewords[:, :-1].copy()
-        overall_stored = codewords[:, -1].astype(np.int64)
-
-        syndrome = np.zeros(codewords.shape[0], dtype=np.int64)
-        for i in range(self.hamming_parity_bits):
-            parity = (hamming & self._coverage[i]).sum(axis=1) & 1
-            syndrome |= parity.astype(np.int64) << i
-        overall_calc = (hamming.sum(axis=1).astype(np.int64) + overall_stored) & 1
+        stored = np.concatenate(
+            [hamming[:, self._parity_positions - 1], codewords[:, -1:]], axis=1
+        )
+        # Syndrome bit i: stored parity 2**i against the one recomputed
+        # from the received data.  The overall check is the parity of
+        # the whole mismatch, stored overall bit included.
+        mismatch = self.check_bits(hamming[:, self._data_positions - 1]) ^ stored
+        weights = 1 << np.arange(self.hamming_parity_bits, dtype=np.int64)
+        syndrome = mismatch[:, :-1].astype(np.int64) @ weights
+        overall_calc = np.bitwise_xor.reduce(mismatch, axis=1)
 
         status = np.full(codewords.shape[0], DecodeStatus.OK, dtype=object)
         corrected = np.full(codewords.shape[0], -1, dtype=np.int64)

@@ -25,6 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.ecc.hamming import DecodeStatus, HammingSecded
+from repro.util.bitops import bit_matrix_to_chunks
 from repro.util.validation import require_multiple, require_positive
 
 __all__ = ["EccBlockResult", "DescEccLayout", "secded_extend_stream"]
@@ -51,11 +52,7 @@ def secded_extend_stream(blocks_bits: np.ndarray, segment_bits: int) -> np.ndarr
     nseg = block_bits // segment_bits
     code = HammingSecded(segment_bits)
     segments = blocks_bits.reshape(n * nseg, segment_bits)
-    codewords = code.encode(segments)
-    parity = np.concatenate(
-        [codewords[:, code._parity_positions - 1], codewords[:, -1:]], axis=1
-    )
-    beats = np.concatenate([segments, parity], axis=1)
+    beats = np.concatenate([segments, code.check_bits(segments)], axis=1)
     return beats.reshape(n, nseg * (segment_bits + code.parity_bits))
 
 
@@ -129,22 +126,8 @@ class DescEccLayout:
     def _groups_per_lane(self) -> int:
         return self.num_segments // self.chunk_bits
 
-    def _interleave(self, per_segment: np.ndarray) -> np.ndarray:
-        """``(num_segments, bits)`` → chunk values, one segment bit per lane."""
-        bits = per_segment.shape[1]
-        g = self._groups_per_lane
-        # chunk index = p * g + s // chunk_bits ; lane = s % chunk_bits
-        chunks_bits = np.zeros((bits * g, self.chunk_bits), dtype=np.uint8)
-        for s in range(self.num_segments):
-            lane = s % self.chunk_bits
-            group = s // self.chunk_bits
-            chunk_index = np.arange(bits) * g + group
-            chunks_bits[chunk_index, lane] = per_segment[s]
-        weights = 1 << np.arange(self.chunk_bits, dtype=np.int64)
-        return chunks_bits.astype(np.int64) @ weights
-
     def _deinterleave(self, chunks: np.ndarray, bits: int) -> np.ndarray:
-        """Inverse of :meth:`_interleave`."""
+        """Inverse of :meth:`_interleave_stream` for one block."""
         g = self._groups_per_lane
         shifts = np.arange(self.chunk_bits, dtype=np.int64)
         lanes = ((np.asarray(chunks, dtype=np.int64)[:, None] >> shifts) & 1).astype(
@@ -173,20 +156,7 @@ class DescEccLayout:
             raise ValueError(
                 f"expected {self.block_bits} data bits, got {data_bits.shape}"
             )
-        segments = data_bits.reshape(self.num_segments, self.segment_bits)
-        codewords = self.code.encode(segments)
-        # The Hamming construction scatters data bits over the
-        # non-power-of-two codeword positions; on the wires we keep the
-        # segments in natural order and ship the check bits (Hamming
-        # parities + overall parity) separately, re-assembling
-        # position-ordered codewords at decode.
-        parity = np.concatenate(
-            [codewords[:, self.code._parity_positions - 1], codewords[:, -1:]],
-            axis=1,
-        )
-        data_chunks = self._interleave(segments)
-        parity_chunks = self._interleave(parity)
-        return np.concatenate([data_chunks, parity_chunks])
+        return self.encode_stream(data_bits[None, :])[0]
 
     def encode_stream(self, blocks_bits: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`encode_block` over ``(n, block_bits)`` blocks.
@@ -203,11 +173,12 @@ class DescEccLayout:
             )
         n = blocks_bits.shape[0]
         segments = blocks_bits.reshape(n * self.num_segments, self.segment_bits)
-        codewords = self.code.encode(segments)
-        parity = np.concatenate(
-            [codewords[:, self.code._parity_positions - 1], codewords[:, -1:]],
-            axis=1,
-        )
+        # The Hamming construction scatters data bits over the
+        # non-power-of-two codeword positions; on the wires the segments
+        # stay in natural order and the check bits (Hamming parities +
+        # overall parity) ride separately, re-assembled into
+        # position-ordered codewords at decode.
+        parity = self.code.check_bits(segments)
         data3 = segments.reshape(n, self.num_segments, self.segment_bits)
         parity3 = parity.reshape(n, self.num_segments, self.parity_bits_per_segment)
         return np.concatenate(
@@ -220,14 +191,14 @@ class DescEccLayout:
 
         Segment ``s = group * chunk_bits + lane`` contributes its bit
         ``p`` to lane ``lane`` of chunk ``p * groups + group`` — the same
-        mapping as :meth:`_interleave`, fully vectorized.
+        mapping :meth:`_deinterleave` inverts.
         """
         n, _, bits = per_segment.shape
         g = self._groups_per_lane
         lanes = per_segment.reshape(n, g, self.chunk_bits, bits)
-        lanes = lanes.transpose(0, 3, 1, 2).reshape(n, bits * g, self.chunk_bits)
-        weights = 1 << np.arange(self.chunk_bits, dtype=np.int64)
-        return lanes.astype(np.int64) @ weights
+        # (n, bit, group, lane): each chunk's lanes are consecutive bits.
+        lanes = lanes.transpose(0, 3, 1, 2).reshape(n, bits * g * self.chunk_bits)
+        return bit_matrix_to_chunks(lanes, self.chunk_bits)
 
     def decode_block(self, chunks: np.ndarray) -> EccBlockResult:
         """Recover (and correct) a block from possibly corrupted chunks."""
@@ -240,25 +211,12 @@ class DescEccLayout:
         parity_chunks = chunks[self.num_data_chunks:]
         segments = self._deinterleave(data_chunks, self.segment_bits)
         parity = self._deinterleave(parity_chunks, self.parity_bits_per_segment)
-        codewords = self._assemble_codewords(segments, parity)
+        codewords = self.code.assemble(segments, parity)
         result = self.code.decode(codewords)
         return EccBlockResult(
             data_bits=result.data.reshape(-1),
             status=tuple(result.status),
         )
-
-    def _assemble_codewords(
-        self, segments: np.ndarray, parity: np.ndarray
-    ) -> np.ndarray:
-        """Rebuild position-ordered codewords from wire-ordered bits."""
-        words = segments.shape[0]
-        codewords = np.zeros((words, self.code.codeword_bits), dtype=np.uint8)
-        codewords[:, self.code._data_positions - 1] = segments
-        codewords[:, self.code._parity_positions - 1] = parity[
-            :, : self.code.hamming_parity_bits
-        ]
-        codewords[:, -1] = parity[:, -1]
-        return codewords
 
     def __repr__(self) -> str:
         return (

@@ -144,9 +144,11 @@ class StudyJournal:
     def load(self) -> tuple[StudySpec | None, list[dict]]:
         """Read ``(spec, eval_records)`` back from the journal.
 
-        Returns ``(None, [])`` for a missing or empty journal.  A torn
-        final line (mid-write crash) is ignored; a torn line anywhere
-        else is corruption and raises.
+        Returns ``(None, [])`` for a missing or empty journal.  A record
+        is complete only with its newline: an unterminated final line
+        is the torn tail of a crashed append and is ignored (the next
+        append truncates it away); a bad line anywhere else is
+        corruption and raises.
         """
         if not self.journal_path.exists():
             return None, []
@@ -154,18 +156,13 @@ class StudyJournal:
         if not raw:
             return None, []
         lines = raw.split(b"\n")
-        # A well-formed journal ends with a newline, leaving one empty
-        # trailing chunk; anything else is a torn tail to discard.
-        if lines and lines[-1] == b"":
-            lines.pop()
+        lines.pop()  # b"" after the last newline, or the torn tail
         spec: StudySpec | None = None
         records: list[dict] = []
         for index, line in enumerate(lines):
             try:
                 payload = json.loads(line)
             except ValueError:
-                if index == len(lines) - 1:
-                    break  # torn tail: the crashed append, ignore
                 raise ValueError(
                     f"{self.journal_path}: corrupt record at line {index + 1}"
                 ) from None
@@ -191,9 +188,24 @@ class StudyJournal:
     def _append(self, payload: Mapping[str, Any]) -> None:
         if self._handle is None:
             self._handle = open(self.journal_path, "ab")
+            self._truncate_torn_tail()
         self._handle.write(codec.encode_json(dict(payload)) + b"\n")
         self._handle.flush()
         os.fsync(self._handle.fileno())
+
+    def _truncate_torn_tail(self) -> None:
+        """Cut the journal back to its last newline before appending.
+
+        Appending after a torn tail would glue the fragment and the next
+        record into one corrupt interior line.
+        """
+        size = self._handle.tell()  # append mode opens at the end
+        if not size:
+            return
+        keep = self.journal_path.read_bytes().rfind(b"\n") + 1
+        if keep < size:
+            self._handle.truncate(keep)
+            os.fsync(self._handle.fileno())
 
     def write_meta(self, spec: StudySpec) -> None:
         """Append the meta record (first line of a fresh journal)."""

@@ -38,6 +38,7 @@ import os
 import numpy as np
 
 from repro.kernels import native as _native
+from repro.util.bitops import bit_matrix_to_chunks
 
 __all__ = [
     "pipeline_available",
@@ -219,6 +220,29 @@ class PackedBits:
             )
             self._bits = flat.reshape(self.num_blocks, self.block_bits)
         return self._bits
+
+    def chunks(self, chunk_bits: int) -> np.ndarray:
+        """``(n, block_bits // chunk_bits)`` int64 chunk values, chunk 0
+        taking each block's least-significant bits.
+
+        When ``chunk_bits`` divides 8 (and blocks start on byte
+        boundaries) the chunks are sliced straight out of the bytes of
+        :attr:`words` — ``chunk_bits == 8`` is the bytes themselves —
+        and the unpacked matrix never materializes.  Other widths go
+        through :func:`~repro.util.bitops.bit_matrix_to_chunks`.
+        """
+        if 8 % chunk_bits or self.block_bits % 8:
+            return bit_matrix_to_chunks(self.bits, chunk_bits)
+        row_bytes = self.block_bits // 8
+        data = self.words.view(np.uint8)[: self.num_blocks * row_bytes]
+        data = data.reshape(self.num_blocks, row_bytes)
+        mask = (1 << chunk_bits) - 1
+        fields = np.stack(
+            [(data >> shift) & mask for shift in range(0, 8, chunk_bits)], axis=2
+        )
+        return fields.reshape(self.num_blocks, row_bytes * 8 // chunk_bits).astype(
+            np.int64
+        )
 
 
 def _payload_words(payload) -> np.ndarray:

@@ -229,6 +229,8 @@ class ServiceServer:
         length_text = headers.get("content-length", "0")
         try:
             length = int(length_text)
+            if length < 0:
+                raise ValueError(length_text)
         except ValueError:
             await _respond_error(
                 writer,

@@ -62,6 +62,19 @@ def _sample_bits(sample: WorkloadSample) -> np.ndarray:
     return sample.packed.bits
 
 
+def _sample_chunks(sample: WorkloadSample, chunk_bits: int) -> np.ndarray:
+    """The sample's chunk matrix at ``chunk_bits``, from the cheapest view.
+
+    4-bit chunks are the sample's own ``chunks``; other widths are cut
+    from the packed words when the sample carries them.
+    """
+    if chunk_bits == 4:
+        return sample.chunks
+    if sample.packed is not None:
+        return sample.packed.chunks(chunk_bits)
+    return bit_matrix_to_chunks(sample.bits, chunk_bits)
+
+
 def _drop_null_rows(blocks: np.ndarray) -> np.ndarray:
     """Remove all-zero rows (blocks served by the null directory)."""
     keep = blocks.any(axis=1)
@@ -99,20 +112,12 @@ class DescTransferModel:
                 chunk_bits=scheme.chunk_bits,
                 num_wires=ecc.num_chunks,
             )
-        elif scheme.chunk_bits == 4 and scheme.data_wires in (128, 64, 32):
-            chunks = sample.chunks
+        else:
+            chunks = _sample_chunks(sample, scheme.chunk_bits)
             if exclude_null:
                 chunks = _drop_null_rows(chunks)
             layout = ChunkLayout(
-                block_bits=512, chunk_bits=4, num_wires=scheme.data_wires
-            )
-        else:
-            bits = _sample_bits(sample)
-            if exclude_null:
-                bits = _drop_null_rows(bits)
-            chunks = bit_matrix_to_chunks(bits, scheme.chunk_bits)
-            layout = ChunkLayout(
-                block_bits=bits.shape[1],
+                block_bits=chunks.shape[1] * scheme.chunk_bits,
                 chunk_bits=scheme.chunk_bits,
                 num_wires=scheme.data_wires,
             )

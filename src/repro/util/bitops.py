@@ -122,9 +122,13 @@ def bit_matrix_to_chunks(bits: np.ndarray, chunk_bits: int) -> np.ndarray:
         raise ValueError(
             f"bit width {width} is not a multiple of chunk size {chunk_bits}"
         )
-    weights = (1 << np.arange(chunk_bits, dtype=np.int64))
-    grouped = bits.astype(np.int64).reshape(n, width // chunk_bits, chunk_bits)
-    return grouped @ weights
+    grouped = bits.reshape(n, width // chunk_bits, chunk_bits)
+    # One shift-or pass per lane: far cheaper than an int64 matmul,
+    # which NumPy runs without BLAS.
+    chunks = grouped[:, :, 0].astype(np.int64)
+    for lane in range(1, chunk_bits):
+        chunks |= grouped[:, :, lane].astype(np.int64) << lane
+    return chunks
 
 
 def chunk_matrix_to_bits(chunks: np.ndarray, chunk_bits: int) -> np.ndarray:

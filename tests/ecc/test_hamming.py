@@ -94,3 +94,47 @@ class TestDoubleErrorDetection:
                 corrupted[0, j] ^= 1
                 result = code.decode(corrupted)
                 assert result.status[0] is DecodeStatus.DETECTED, (i, j)
+
+
+def _reference_codewords(code: HammingSecded, data: np.ndarray) -> np.ndarray:
+    """The per-parity coverage-loop encoder, kept as an executable spec.
+
+    Parity bit ``2**i`` makes the XOR of every codeword position whose
+    1-indexed number has bit ``i`` set zero; the overall parity makes
+    the XOR of the whole codeword zero.
+    """
+    length = code.data_bits + code.hamming_parity_bits
+    positions = np.arange(1, length + 1)
+    codeword = np.zeros((data.shape[0], length), dtype=np.int64)
+    codeword[:, code._data_positions - 1] = data
+    for i in range(code.hamming_parity_bits):
+        coverage = (positions >> i) & 1
+        codeword[:, (1 << i) - 1] = (codeword * coverage).sum(axis=1) & 1
+    overall = codeword.sum(axis=1) & 1
+    return np.concatenate([codeword, overall[:, None]], axis=1)
+
+
+class TestCheckBits:
+    @pytest.mark.parametrize("data_bits", [8, 11, 26, 57, 64, 128])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), words=st.integers(0, 40))
+    def test_matches_coverage_loop(self, data_bits, seed, words):
+        rng = np.random.default_rng(seed)
+        code = HammingSecded(data_bits)
+        density = rng.random()
+        data = (rng.random((words, data_bits)) < density).astype(np.uint8)
+        reference = _reference_codewords(code, data)
+        expected = np.concatenate(
+            [reference[:, code._parity_positions - 1], reference[:, -1:]], axis=1
+        )
+        check = code.check_bits(data)
+        assert check.shape == (words, code.parity_bits)
+        np.testing.assert_array_equal(check, expected)
+        np.testing.assert_array_equal(code.encode(data), reference)
+
+    @pytest.mark.parametrize("data_bits", [8, 64, 128])
+    def test_outputs_are_uint8(self, data_bits, rng):
+        code = HammingSecded(data_bits)
+        data = rng.integers(0, 2, size=(5, data_bits)).astype(np.uint8)
+        assert code.check_bits(data).dtype == np.uint8
+        assert code.encode(data).dtype == np.uint8

@@ -112,12 +112,13 @@ class TestBinaryExtension:
         beats = ext.reshape(-1, 72)
         for beat in beats:
             data, parity = beat[:64], beat[64:]
-            codeword = np.zeros(code.codeword_bits, dtype=np.uint8)
-            codeword[code._data_positions - 1] = data
-            codeword[code._parity_positions - 1] = parity[:-1]
-            codeword[-1] = parity[-1]
-            result = code.decode(codeword)
+            result = code.decode(code.assemble(data, parity[None, :]))
             assert result.status[0] is DecodeStatus.OK
+
+    def test_extended_stream_is_uint8(self, rng):
+        bits = rng.integers(0, 2, size=(3, 512)).astype(np.uint8)
+        for segment_bits in (64, 128):
+            assert secded_extend_stream(bits, segment_bits).dtype == np.uint8
 
     def test_rejects_bad_segment(self):
         with pytest.raises(ValueError, match="segments"):

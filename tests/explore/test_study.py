@@ -85,6 +85,28 @@ class TestStudyJournal:
         assert loaded_spec == spec
         assert [r["key"] for r in records] == ["k"]
 
+    def test_unterminated_final_record_is_torn(self, tmp_path):
+        """A record is durable only with its newline, even if it parses."""
+        journal = StudyJournal(tmp_path / "j")
+        journal.write_meta(small_spec())
+        journal.close()
+        with open(journal.journal_path, "ab") as handle:
+            handle.write(b'{"type":"eval","key":"k"}')  # no newline
+        assert journal.load()[1] == []
+
+    def test_append_truncates_torn_tail(self, tmp_path):
+        journal = StudyJournal(tmp_path / "j")
+        journal.write_meta(small_spec())
+        journal.close()
+        clean = journal.journal_path.read_bytes()
+        with open(journal.journal_path, "ab") as handle:
+            handle.write(b'{"type":"eval","key":"torn')
+        journal.write_eval({"key": "k", "failed": False})
+        journal.close()
+        raw = journal.journal_path.read_bytes()
+        assert raw.startswith(clean) and b"torn" not in raw
+        assert [r["key"] for r in journal.load()[1]] == ["k"]
+
     def test_interior_corruption_raises(self, tmp_path):
         journal = StudyJournal(tmp_path / "j")
         journal.write_meta(small_spec())
@@ -207,6 +229,25 @@ class TestResume:
         assert resumed.reused == kept
         assert resumed.spent == full.spent
         assert resumed.frontier_bytes() == full.frontier_bytes()
+
+    def test_resume_twice_after_torn_tail(self, backend, tmp_path):
+        """Run, tear the tail, resume, resume again: both resumes work
+        and the journal stays loadable."""
+        spec = small_spec()
+        study = tmp_path / "study"
+        full = run_study(spec, backend, study, budget=6)
+        with open(study / "journal.jsonl", "ab") as handle:
+            handle.write(b'{"type":"eval","key":"torn-by-a-cra')
+        first = resume_study(study, backend, budget=10)
+        second = resume_study(study, backend, budget=10)
+        _, records = StudyJournal(study).load()
+        assert first.spent == second.spent == len(records) == 10
+        assert second.reused == 10
+        assert first.reused == full.spent
+        assert second.frontier_bytes() == first.frontier_bytes()
+        assert run_study(spec, backend, budget=10).frontier_bytes() == (
+            first.frontier_bytes()
+        )
 
     def test_resume_of_a_finished_study_is_all_cache(self, backend, tmp_path):
         spec = small_spec()

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.kernels import pipeline
 
@@ -65,6 +66,40 @@ class TestPackedBits:
         packed = pipeline.PackedBits.from_bits(bits)
         assert packed.words.dtype == np.uint64
         np.testing.assert_array_equal(packed.bits, bits)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_blocks=st.integers(0, 70),
+        chunk_bits=st.sampled_from([1, 2, 4, 8]),
+        row_bytes=st.sampled_from([1, 3, 8, 64]),
+    )
+    def test_chunks_match_bit_matrix_to_chunks(
+        self, seed, num_blocks, chunk_bits, row_bytes
+    ):
+        from repro.util.bitops import bit_matrix_to_chunks
+
+        rng = np.random.default_rng(seed)
+        bits = _random_bits(rng, num_blocks, row_bytes * 8)
+        expected = bit_matrix_to_chunks(bits, chunk_bits)
+        eager = pipeline.PackedBits.from_bits(bits)
+        # Words only, as block_assemble's native path produces them.
+        lazy = pipeline.PackedBits(eager.words, num_blocks, row_bytes * 8)
+        for packed in (eager, lazy):
+            chunks = packed.chunks(chunk_bits)
+            assert chunks.dtype == np.int64
+            np.testing.assert_array_equal(chunks, expected)
+        assert lazy._bits is None  # sliced from the bytes, never unpacked
+
+    @pytest.mark.parametrize("block_bits,chunk_bits", [(12, 4), (24, 3), (64, 16)])
+    def test_chunks_other_geometries_fall_back(self, block_bits, chunk_bits):
+        from repro.util.bitops import bit_matrix_to_chunks
+
+        bits = _random_bits(np.random.default_rng(7), 9, block_bits)
+        packed = pipeline.PackedBits.from_bits(bits)
+        np.testing.assert_array_equal(
+            packed.chunks(chunk_bits), bit_matrix_to_chunks(bits, chunk_bits)
+        )
 
     def test_as_bit_payload_checks_block_bits(self):
         from repro.encoding.base import as_bit_payload
@@ -349,17 +384,21 @@ class TestGoldenCrossTier:
         self, monkeypatch
     ):
         from repro.sim.config import SchemeConfig, SystemConfig
-        from repro.sim.system import simulate
+        from repro.sim.engine import StagedEngine
+        from repro.sim.store import ResultStore
 
         golden = self._golden()
         monkeypatch.setenv("REPRO_PIPELINE", "0")
         system = SystemConfig(
             sample_blocks=golden["system"]["sample_blocks"]
         )
+        # A private store: the process-wide one may already hold these
+        # runs from the native tier, which would make this a lookup.
+        engine = StagedEngine(ResultStore())
         mismatches = []
         for entry in golden["runs"]:
             scheme = SchemeConfig(**entry["scheme_config"])
-            result = simulate(entry["app"], scheme, system)
+            result = engine.run(entry["app"], scheme, system)
             if self._result_dict(result) != entry["result"]:
                 mismatches.append((entry["app"], scheme.name))
         assert mismatches == []

@@ -7,6 +7,7 @@ ephemeral localhost port and threads drive it with the in-repo client.
 
 from __future__ import annotations
 
+import json
 import socket
 import threading
 
@@ -115,6 +116,23 @@ class TestErrorMapping:
             with pytest.raises(ServiceRequestError) as excinfo:
                 client.sweep({}, system=SYSTEM)
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("length", ["-5", "five"])
+    def test_bad_content_length_is_400_not_a_drop(self, harness, length):
+        request = (
+            "POST /simulate HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode()
+        with socket.create_connection((harness.host, harness.port), timeout=10) as sock:
+            sock.sendall(request)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        error = json.loads(body)["error"]
+        assert error["type"] == "malformed-request"
+        assert length in error["message"]
 
 
 class TestConcurrentClients:
